@@ -18,9 +18,10 @@
 //
 // With -transport stream the controller stops scraping GET /v1/stats and
 // instead accepts binary delta heartbeats pushed by the agents to
-// POST /v1/heartbeat (run pocolo-agent with -push pointed here). Agent
-// state lands in per-pod shards sized by -pod-size and the round loop
-// reads immutable snapshots without blocking ingest; see DESIGN.md §14.
+// POST /v1/heartbeat (run pocolo-agent with -push pointed here). Under
+// either transport agent state lands in per-pod shards sized by
+// -pod-size, and the round loop reads immutable snapshots without
+// blocking ingest; see DESIGN.md §14.
 //
 // With -budget-tree the controller enforces a hierarchical power budget
 // over the fleet: the tree's leaves name the agents, every heartbeat
@@ -71,7 +72,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed for the heartbeat jitter")
 	budgetTree := flag.String("budget-tree", "", "hierarchical power-budget tree whose leaves name the agents (e.g. 'dc:600{agent-a,agent-b}') or @file; shares are pushed as caps every round")
 	transport := flag.String("transport", controlplane.TransportPoll, "state transport: poll (controller scrapes GET /v1/stats each round) or stream (agents push binary delta heartbeats to POST /v1/heartbeat; requires -listen)")
-	podSize := flag.Int("pod-size", 0, "agents per state shard under -transport stream (0 = default)")
+	podSize := flag.Int("pod-size", 0, "agents per state shard (0 = default)")
 	tracePath := flag.String("trace", "", "dump the aggregated cluster decision trace as JSONL to this file on shutdown")
 	traceEvents := flag.Int("trace-events", 0, "controller decision-trace ring capacity in events (0 = default, negative disables tracing)")
 	noObs := flag.Bool("no-obs", false, "disable the observability plane (round/solve/ingest histograms, SLO burn, /v1/top rollup)")

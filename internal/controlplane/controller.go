@@ -67,8 +67,8 @@ type ControllerConfig struct {
 	// Transport selects how agent state reaches the controller:
 	// TransportPoll (default) or TransportStream.
 	Transport string
-	// PodSize is the number of agents per state shard under the streaming
-	// transport, and the pod size of the "sharded" solver (default 64).
+	// PodSize is the number of agents per state shard, and the pod size of
+	// the "sharded" solver (default 64).
 	PodSize int
 	// BudgetTree, when non-empty, is a hierarchical budget-tree spec (see
 	// tree.Parse) whose leaves name the agents. Each round the controller
@@ -107,8 +107,9 @@ type ControllerConfig struct {
 	// RoundDeadline is the round-latency SLO target and the flight
 	// recorder's trigger threshold (default Heartbeat).
 	RoundDeadline time.Duration
-	// StalenessLimit is the per-agent staleness SLO target under the
-	// streaming transport (default DeadAfter × Heartbeat).
+	// StalenessLimit is the per-agent staleness SLO target: the most time
+	// allowed since an agent's last applied report, pushed or polled
+	// (default DeadAfter × Heartbeat).
 	StalenessLimit time.Duration
 	// SLOBudget is the tolerated breach fraction for both objectives
 	// (default 0.01 — see obs.Objective).
@@ -135,10 +136,9 @@ type agentState struct {
 	nextDue  time.Time
 	lastErr  string
 	last     StatsResponse
-	// streamSeq is the heartbeat seq last folded into this state by the
-	// streaming transport; a round that sees no higher published seq
-	// counts a miss, mirroring a failed poll probe.
-	streamSeq uint64
+	// seq is the seq of the last published view folded into this state;
+	// a round that sees no higher published seq counts a miss.
+	seq uint64
 }
 
 // AgentStatus is the exported per-agent view.
@@ -176,7 +176,7 @@ type Controller struct {
 	logf   func(string, ...any)
 	now    func() time.Time
 	tracer *trace.Tracer
-	stream *streamState // nil under the polling transport
+	stream *streamState // agent-state shards, fed by pushed frames or poll replies
 	obs    *ctlObs      // nil without a metrics registry
 	// roundDeadline is the resolved RoundDeadline (never zero when obs or
 	// the recorder is wired).
@@ -279,9 +279,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	for _, u := range cfg.AgentURLs {
 		c.agents = append(c.agents, &agentState{url: u, name: u})
 	}
-	if cfg.Transport == TransportStream {
-		c.stream = newStreamState(cfg.AgentURLs, cfg.PodSize)
-	}
+	c.stream = newStreamState(cfg.AgentURLs, cfg.PodSize)
 	if cfg.BudgetTree != "" {
 		b, err := newBudgetState(cfg.BudgetTree)
 		if err != nil {
@@ -322,15 +320,16 @@ func (c *Controller) jitteredHeartbeat() time.Duration {
 	return time.Duration(float64(c.cfg.Heartbeat) * j)
 }
 
-// Round performs one heartbeat cycle: observe the fleet (poll probes or
-// streamed snapshots), update liveness, re-solve placement if membership
-// changed, compute the assignment and budget pushes under the lock, then
-// execute every push through the bounded worker pool with the lock
-// released. Only acknowledged pushes are recorded as agent state — a
-// failed push is re-derived and retried next round — and no push can
-// stall the round for longer than one request timeout, however many
-// agents are slow. Exposed for deterministic tests; Run calls it on the
-// jittered interval.
+// Round performs one heartbeat cycle: under poll, probe the due agents
+// and apply their replies as frames; observe the fleet's published
+// views and update liveness; re-solve placement if membership changed;
+// compute the assignment and budget pushes under the lock, then execute
+// every push through the bounded worker pool with the lock released.
+// Only acknowledged pushes are recorded as agent state — a failed push
+// is re-derived and retried next round — and no push can stall the
+// round for longer than one request timeout, however many agents are
+// slow. Exposed for deterministic tests; Run calls it on the jittered
+// interval.
 func (c *Controller) Round(ctx context.Context) {
 	now := c.now()
 	// Round timing is measured, not derived from the controller clock:
@@ -341,15 +340,13 @@ func (c *Controller) Round(ctx context.Context) {
 		start = time.Now()
 	}
 
-	var membershipChanged bool
-	if c.stream != nil {
-		c.mu.Lock()
-		membershipChanged = c.streamObserveLocked(now)
-	} else {
-		results := c.pollProbe(ctx, now)
-		c.mu.Lock()
-		membershipChanged = c.applyProbesLocked(results, now)
+	var polled []probeResult
+	if c.cfg.Transport == TransportPoll {
+		polled = c.pollProbe(ctx, now)
 	}
+	c.mu.Lock()
+	membershipChanged := c.observeLocked(now)
+	c.backoffLocked(polled, now)
 	c.rounds++
 	round := c.rounds
 
@@ -380,8 +377,10 @@ type probeResult struct {
 	err   error
 }
 
-// pollProbe fans stats probes out to every due agent. Runs lock-free:
-// the due set is snapshotted under the lock, the probes are not.
+// pollProbe fans stats probes out to every due agent, then applies the
+// successful replies to the agent-state shards as frames. Runs outside
+// the controller lock: the due set is snapshotted under it, the probes
+// and the shard writes are not.
 func (c *Controller) pollProbe(ctx context.Context, now time.Time) []probeResult {
 	c.mu.Lock()
 	due := make([]*agentState, 0, len(c.agents))
@@ -403,56 +402,36 @@ func (c *Controller) pollProbe(ctx context.Context, now time.Time) []probeResult
 		}(i, a)
 	}
 	wg.Wait()
+	c.stream.applyPolled(results, now)
 	return results
 }
 
-// applyProbesLocked folds poll probe results into the liveness state.
-func (c *Controller) applyProbesLocked(results []probeResult, now time.Time) (membershipChanged bool) {
-	for _, r := range results {
+// backoffLocked is the polling transport's probe schedule, run after
+// the observe step so an agent declared dead this round backs off in the
+// same round. Each failed probe of a dead agent doubles its backoff
+// (capped at MaxBackoff) and defers its next probe; a successful probe
+// clears it. A failed probe's own error becomes the agent's LastError.
+func (c *Controller) backoffLocked(polled []probeResult, now time.Time) {
+	for _, r := range polled {
 		a := r.agent
-		if r.err != nil {
-			a.lastErr = r.err.Error()
-			a.misses++
-			if a.alive && a.misses >= c.cfg.DeadAfter {
-				a.alive = false
-				c.deaths++
-				membershipChanged = true
-				c.logf("agent %s (%s) dead after %d missed heartbeats: %v", a.name, a.url, a.misses, r.err)
-			}
-			if !a.alive {
-				// Capped exponential probe backoff for dead agents.
-				if a.backoff == 0 {
-					a.backoff = c.cfg.Heartbeat
-				} else {
-					a.backoff *= 2
-				}
-				if a.backoff > c.cfg.MaxBackoff {
-					a.backoff = c.cfg.MaxBackoff
-				}
-				a.nextDue = now.Add(a.backoff)
-			}
+		if r.err == nil {
+			a.backoff = 0
 			continue
 		}
-		if !a.alive || !a.everSeen {
-			membershipChanged = true
-			if a.everSeen {
-				c.rejoins++
-				c.logf("agent %s (%s) rejoined", r.stats.Agent, a.url)
-			} else {
-				c.logf("agent %s (%s) discovered, lc=%s", r.stats.Agent, a.url, r.stats.LC)
-			}
+		a.lastErr = r.err.Error()
+		if a.alive {
+			continue
 		}
-		a.alive = true
-		a.everSeen = true
-		a.misses = 0
-		a.backoff = 0
-		a.nextDue = now
-		a.lastErr = ""
-		a.name = r.stats.Agent
-		a.lc = r.stats.LC
-		a.last = r.stats
+		if a.backoff == 0 {
+			a.backoff = c.cfg.Heartbeat
+		} else {
+			a.backoff *= 2
+		}
+		if a.backoff > c.cfg.MaxBackoff {
+			a.backoff = c.cfg.MaxBackoff
+		}
+		a.nextDue = now.Add(a.backoff)
 	}
-	return membershipChanged
 }
 
 // probe fetches an agent's stats with the per-request timeout, retrying up

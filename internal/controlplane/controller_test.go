@@ -245,6 +245,104 @@ func TestControllerDeadAfterKMissesAndMigration(t *testing.T) {
 	}
 }
 
+// statsCounter counts the GET /v1/stats requests each host receives.
+type statsCounter struct {
+	inner http.RoundTripper
+	mu    sync.Mutex
+	n     map[string]int
+}
+
+func (s *statsCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == RouteStats {
+		s.mu.Lock()
+		s.n[req.URL.Host]++
+		s.mu.Unlock()
+	}
+	return s.inner.RoundTrip(req)
+}
+
+// take returns and resets the host's count.
+func (s *statsCounter) take(host string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.n[host]
+	delete(s.n, host)
+	return n
+}
+
+// TestPollBackoffSchedule pins the polling controller's dead-agent probe
+// schedule on the campaign clock (one heartbeat per round). With
+// DeadAfter 3 and MaxBackoff 16 heartbeats, a crashed agent is probed
+// every round until its third miss declares it dead, then 1, 2, 4 and 8
+// heartbeats after that and every 16 heartbeats from then on. Its
+// LastError stays the probe's own error, and Misses counts every round
+// since the crash, probed or not.
+func TestPollBackoffSchedule(t *testing.T) {
+	lcs := []string{"img-dnn", "sphinx", "xapian"}
+	bes := []string{"graph"}
+	const (
+		hb      = time.Second
+		victim  = 1
+		crashAt = 4 // first round the crash is active
+		rounds  = 90
+	)
+	host := "campaign-agent-1"
+	counter := &statsCounter{n: make(map[string]int)}
+	probes := make([]int, rounds+1) // round → /v1/stats requests to the victim
+	statuses := make([]AgentStatus, rounds+1)
+	camp, err := NewCampaign(CampaignConfig{
+		Agents:     campaignAgentConfigs(t, lcs, bes),
+		BE:         bes,
+		Faults:     []FaultEvent{{At: (crashAt - 1) * hb, Agent: victim, Kind: FaultCrash, Duration: rounds * hb}},
+		Duration:   rounds * hb,
+		Heartbeat:  hb,
+		DeadAfter:  3,
+		MaxBackoff: 16 * hb,
+		Transport:  TransportPoll,
+		Seed:       1,
+		OnRound: func(round int, st Status) {
+			probes[round] = counter.take(host)
+			statuses[round] = st.Agents[victim]
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter.inner = camp.transport
+	camp.ctl.client.Transport = counter
+	if _, err := camp.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	death := crashAt + 2 // the third consecutive miss
+	want := make([]int, rounds+1)
+	for r := 1; r <= death; r++ {
+		want[r] = 1 // alive agents are probed every round
+	}
+	for r, gap := death, 1; r+gap <= rounds; gap = min(2*gap, 16) {
+		r += gap // dead: probed 1, 2, 4, 8, then every 16 heartbeats apart
+		want[r] = 1
+	}
+	for r := 1; r <= rounds; r++ {
+		if probes[r] != want[r] {
+			t.Errorf("round %d (%d after death): %d stats probes, want %d", r, r-death, probes[r], want[r])
+		}
+		st := statuses[r]
+		if alive := r < death; st.Alive != alive {
+			t.Errorf("round %d: alive = %v, want %v", r, st.Alive, alive)
+		}
+		if r < crashAt {
+			continue
+		}
+		if st.Misses != r-crashAt+1 {
+			t.Errorf("round %d: misses = %d, want %d", r, st.Misses, r-crashAt+1)
+		}
+		if !strings.Contains(st.LastError, "connection refused") {
+			t.Errorf("round %d: last error %q is not the probe's", r, st.LastError)
+		}
+	}
+}
+
 func TestControllerMajorityUnreachableDegrades(t *testing.T) {
 	tc := newTestCluster(t, []string{"img-dnn", "sphinx", "xapian"}, []string{"graph"}, nil)
 	ctx := context.Background()

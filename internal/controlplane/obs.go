@@ -26,9 +26,9 @@ type ctlObs struct {
 	roundSLO *obs.SLO       // slo="round"
 	staleSLO *obs.SLO       // slo="staleness"
 
-	// heartbeat ingest (streaming transport)
-	decode                                  *obs.Histogram // pocolo_obs_heartbeat_decode_seconds
-	vFull, vDelta, vStale, vResync, vReject *obs.Counter   // verdict-labeled frames
+	// pushed-frame ingest
+	decode   *obs.Histogram               // pocolo_obs_heartbeat_decode_seconds
+	verdicts [numFrameCounts]*obs.Counter // verdict-labeled frames, by frameCount
 
 	// per-pod staleness watermark, indexed by stream shard
 	podStale []*obs.Gauge
@@ -48,14 +48,13 @@ func newCtlObs(reg *obs.Registry, nPods int, roundDeadline, staleLimit time.Dura
 		roundSLO: obs.NewSLO(reg, obs.Objective{Name: "round", Target: roundDeadline, Budget: sloBudget}),
 		staleSLO: obs.NewSLO(reg, obs.Objective{Name: "staleness", Target: staleLimit, Budget: sloBudget}),
 		decode:   reg.Histogram("pocolo_obs_heartbeat_decode_seconds", "Wall-clock duration of heartbeat frame decodes."),
-		vFull:    reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "full"}),
-		vDelta:   reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "delta"}),
-		vStale:   reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "stale"}),
-		vResync:  reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "resync"}),
-		vReject:  reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.", obs.Label{Key: "verdict", Value: "reject"}),
 		budgetLat: reg.Histogram("pocolo_obs_budget_rebalance_seconds",
 			"Wall-clock duration of the controller's budget-tree divisions."),
 		headroom: make(map[string]*obs.Gauge),
+	}
+	for k, name := range frameCountNames {
+		o.verdicts[k] = reg.Counter("pocolo_obs_heartbeat_frames_total", "Heartbeat frames by ingest verdict.",
+			obs.Label{Key: "verdict", Value: name})
 	}
 	o.podStale = make([]*obs.Gauge, nPods)
 	for p := range o.podStale {
@@ -116,12 +115,10 @@ func (c *Controller) podCounters(now time.Time) []podCounter {
 			Agent: a.name,
 			Pod:   fmt.Sprintf("pod-%d", i/c.cfg.PodSize),
 			Alive: a.alive,
-			Seq:   a.streamSeq,
+			Seq:   a.seq,
 		}
-		if c.stream != nil {
-			if v := c.stream.view(a.url); v != nil {
-				pc.StaleS = now.Sub(v.lastHeard).Seconds()
-			}
+		if v := c.stream.view(a.url); v != nil {
+			pc.StaleS = now.Sub(v.lastHeard).Seconds()
 		}
 		out = append(out, pc)
 	}
@@ -254,14 +251,10 @@ func (c *Controller) Top() TopSnapshot {
 				row.Violations++
 			}
 		}
-		if c.stream != nil {
-			if v := c.stream.view(a.url); v != nil {
-				if st := now.Sub(v.lastHeard).Seconds(); st > row.StalenessS {
-					row.StalenessS = st
-				}
+		if v := c.stream.view(a.url); v != nil {
+			if st := now.Sub(v.lastHeard).Seconds(); st > row.StalenessS {
+				row.StalenessS = st
 			}
-		} else if !a.alive {
-			row.StalenessS = float64(a.misses) * c.cfg.Heartbeat.Seconds()
 		}
 		if share, ok := shares[a.name]; ok {
 			row.HeadroomW += share - a.last.PowerW

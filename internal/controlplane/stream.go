@@ -12,17 +12,19 @@ import (
 	"pocolo/internal/trace"
 )
 
-// This file is the controller half of the streaming transport. Agents
-// push binary delta heartbeats (codec.go) instead of being polled; the
-// controller ingests them — one at a time over POST /v1/heartbeat, or
-// batched through the bounded worker pool — into per-pod state shards.
-// Each shard serializes its writers behind a mutex, folds every applied
-// frame into its decoders, and publishes the pod's agent views as an
-// immutable snapshot swapped in atomically. The round loop never takes
-// a shard lock: it loads each pod's current snapshot pointer and reads
-// frozen views, so a round costs the same whether zero or ten thousand
-// frames are in flight, and a stalled sender can block nothing but its
-// own pod's ingest.
+// This file is the controller's intake plane: every agent report, under
+// either transport, lands in per-pod state shards as a frame. Under
+// TransportStream agents push binary delta heartbeats (codec.go), which
+// IngestBatch decodes and applies — one at a time over POST
+// /v1/heartbeat, or batched through the bounded worker pool. Under
+// TransportPoll each successful GET /v1/stats reply is applied as a full
+// frame (applyPolled). Each shard serializes its writers behind a mutex,
+// folds every applied frame into its decoders, and publishes the pod's
+// agent views as an immutable snapshot swapped in atomically. The round
+// loop never takes a shard lock: observeLocked loads each pod's current
+// snapshot pointer and reads frozen views, so a round costs the same
+// whether zero or ten thousand frames are in flight, and a stalled
+// sender can block nothing but its own pod's ingest.
 
 // maxHeartbeatBatch bounds one IngestBatch call.
 const maxHeartbeatBatch = 1 << 16
@@ -144,17 +146,36 @@ func (sh *streamShard) publishLocked(dirty []int, now time.Time) {
 	sh.snap.Store(next)
 }
 
-// streamState is the controller's streaming ingest plane.
+// frameCount indexes the per-frame ingest counters: the kind of every
+// decoded frame, then the verdict of every frame that did not apply.
+type frameCount int
+
+const (
+	countFull frameCount = iota
+	countDelta
+	countStale
+	countResync
+	countReject
+	numFrameCounts
+)
+
+// frameCountNames are the verdict label values, in frameCount order.
+var frameCountNames = [numFrameCounts]string{"full", "delta", "stale", "resync", "reject"}
+
+// streamState is the controller's intake plane: the agent-state shards
+// both transports feed, plus the wire counters of pushed frames.
 type streamState struct {
 	podSize int
 	slots   map[string]int // configured agent URL → global slot
 	names   sync.Map       // agent name → global slot, bound by full frames
 	shards  []*streamShard
 
-	// Cumulative ingest counters (atomic: ingest is concurrent). The
-	// round loop snapshots them and traces the per-round delta.
-	frames, fulls, deltas, stale, resyncs, rejects, bytes atomic.Int64
-	prev                                                  trace.HeartbeatSummary // counter values already traced
+	// Cumulative wire counters of pushed frames (atomic: ingest is
+	// concurrent); polled frames never touch them. The round loop
+	// snapshots them and traces the per-round delta.
+	frames, bytes atomic.Int64
+	counts        [numFrameCounts]atomic.Int64
+	prev          StreamStats // counter values already traced
 }
 
 func newStreamState(urls []string, podSize int) *streamState {
@@ -219,30 +240,22 @@ func (s *streamState) route(hb *Heartbeat) (int, hbVerdict) {
 // summaryDelta snapshots the cumulative counters and returns the change
 // since the previous call (the per-round trace payload).
 func (s *streamState) summaryDelta() trace.HeartbeatSummary {
-	cur := trace.HeartbeatSummary{
-		Frames:  int(s.frames.Load()),
-		Fulls:   int(s.fulls.Load()),
-		Deltas:  int(s.deltas.Load()),
-		Stale:   int(s.stale.Load()),
-		Resyncs: int(s.resyncs.Load()),
-		Rejects: int(s.rejects.Load()),
-		Bytes:   s.bytes.Load(),
-	}
-	d := trace.HeartbeatSummary{
-		Frames:  cur.Frames - s.prev.Frames,
-		Fulls:   cur.Fulls - s.prev.Fulls,
-		Deltas:  cur.Deltas - s.prev.Deltas,
-		Stale:   cur.Stale - s.prev.Stale,
-		Resyncs: cur.Resyncs - s.prev.Resyncs,
-		Rejects: cur.Rejects - s.prev.Rejects,
-		Bytes:   cur.Bytes - s.prev.Bytes,
-	}
+	cur, prev := s.stats(), s.prev
 	s.prev = cur
-	return d
+	return trace.HeartbeatSummary{
+		Frames:  int(cur.Frames - prev.Frames),
+		Fulls:   int(cur.Fulls - prev.Fulls),
+		Deltas:  int(cur.Deltas - prev.Deltas),
+		Stale:   int(cur.Stale - prev.Stale),
+		Resyncs: int(cur.Resyncs - prev.Resyncs),
+		Rejects: int(cur.Rejects - prev.Rejects),
+		Bytes:   cur.Bytes - prev.Bytes,
+	}
 }
 
 // StreamStats is the controller's cumulative heartbeat-ingest counters
-// (zero-valued under the polling transport).
+// over pushed frames (zero-valued under the polling transport, whose
+// frames come from its own probes, not the wire).
 type StreamStats struct {
 	Frames  int64 `json:"frames"`
 	Fulls   int64 `json:"fulls"`
@@ -253,76 +266,36 @@ type StreamStats struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// StreamStats reports the cumulative ingest counters (zero when the
-// controller polls).
-func (c *Controller) StreamStats() StreamStats {
-	s := c.stream
-	if s == nil {
-		return StreamStats{}
-	}
+func (s *streamState) stats() StreamStats {
 	return StreamStats{
 		Frames:  s.frames.Load(),
-		Fulls:   s.fulls.Load(),
-		Deltas:  s.deltas.Load(),
-		Stale:   s.stale.Load(),
-		Resyncs: s.resyncs.Load(),
-		Rejects: s.rejects.Load(),
+		Fulls:   s.counts[countFull].Load(),
+		Deltas:  s.counts[countDelta].Load(),
+		Stale:   s.counts[countStale].Load(),
+		Resyncs: s.counts[countResync].Load(),
+		Rejects: s.counts[countReject].Load(),
 		Bytes:   s.bytes.Load(),
 	}
 }
 
+// StreamStats reports the cumulative ingest counters (zero when the
+// controller polls).
+func (c *Controller) StreamStats() StreamStats { return c.stream.stats() }
+
+// count tallies one frame in its cumulative ingest counter and in the
+// verdict-labelled obs counter.
+func (c *Controller) count(k frameCount) {
+	c.stream.counts[k].Add(1)
+	if c.obs != nil {
+		c.obs.verdicts[k].Inc()
+	}
+}
+
 // IngestHeartbeat decodes and applies one pushed frame, returning the
-// ack to send back. Safe for concurrent use; only the owning shard
-// locks, and the round loop is never blocked.
+// ack to send back: a one-frame IngestBatch. Safe for concurrent use;
+// only the owning shard locks, and the round loop is never blocked.
 func (c *Controller) IngestHeartbeat(frame []byte) HeartbeatAck {
-	s := c.stream
-	if s == nil {
-		return HeartbeatAck{Reject: true}
-	}
-	s.frames.Add(1)
-	s.bytes.Add(int64(len(frame)))
-	hb, err := c.decodeHeartbeatObs(frame)
-	if err != nil {
-		s.rejects.Add(1)
-		if c.obs != nil {
-			c.obs.vReject.Inc()
-		}
-		c.logf("heartbeat rejected: %v", err)
-		return HeartbeatAck{Reject: true}
-	}
-	c.countFrameObs(hb, s)
-	slot, verdict := s.route(hb)
-	if verdict != hbApplied {
-		s.resyncs.Add(1)
-		if c.obs != nil {
-			c.obs.vResync.Inc()
-		}
-		return HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq, Resync: true}
-	}
-	sh, li := s.shardOf(slot)
-	now := c.now()
-	sh.mu.Lock()
-	verdict = sh.decs[li].apply(hb)
-	watermark := sh.decs[li].seq
-	if verdict == hbApplied {
-		sh.publishLocked([]int{li}, now)
-	}
-	sh.mu.Unlock()
-	switch verdict {
-	case hbStale:
-		s.stale.Add(1)
-		if c.obs != nil {
-			c.obs.vStale.Inc()
-		}
-		return HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
-	case hbResync:
-		s.resyncs.Add(1)
-		if c.obs != nil {
-			c.obs.vResync.Inc()
-		}
-		return HeartbeatAck{Agent: hb.Agent, Seq: resyncSeq(hb.Seq, watermark), Resync: true}
-	}
-	return HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
+	return c.IngestBatch([][]byte{frame})[0]
 }
 
 // decodeHeartbeatObs wraps DecodeHeartbeat with the decode-latency
@@ -337,51 +310,34 @@ func (c *Controller) decodeHeartbeatObs(frame []byte) (*Heartbeat, error) {
 	return hb, err
 }
 
-// countFrameObs mirrors the frame-kind counters into the obs registry.
-func (c *Controller) countFrameObs(hb *Heartbeat, s *streamState) {
-	if hb.Full {
-		s.fulls.Add(1)
-		if c.obs != nil {
-			c.obs.vFull.Inc()
-		}
-	} else {
-		s.deltas.Add(1)
-		if c.obs != nil {
-			c.obs.vDelta.Inc()
-		}
-	}
-}
-
-// IngestBatch decodes a batch of frames through the bounded worker pool,
-// groups the survivors by shard, and applies each shard's frames under
-// one lock acquisition with one snapshot swap. Acks are returned in
-// frame order. This is the campaign's and the benchmarks' bulk path; a
-// live deployment reaches the same shards one frame at a time through
-// the HTTP handler.
+// IngestBatch decodes a batch of pushed frames through the bounded
+// worker pool, groups the survivors by shard, and applies each shard's
+// frames under one lock acquisition with one snapshot swap. Acks are
+// returned in frame order. A polling controller refuses every frame: its
+// shards are fed by its own probes, and a pushed frame must not
+// overwrite polled state.
 func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
-	s := c.stream
 	acks := make([]HeartbeatAck, len(frames))
-	if s == nil {
+	if c.cfg.Transport != TransportStream {
 		for i := range acks {
 			acks[i] = HeartbeatAck{Reject: true}
 		}
 		return acks
 	}
+	s := c.stream
 	if len(frames) > maxHeartbeatBatch {
 		frames = frames[:maxHeartbeatBatch]
 	}
-	// Decode fans out: full frames carry JSON snapshots, the one
-	// genuinely expensive decode.
+	// Decode fans out: full frames carry compressed JSON snapshots, the
+	// one genuinely expensive decode. A single frame runs inline.
 	decoded := make([]*Heartbeat, len(frames))
 	_ = parallel.ForEach(len(frames), 0, func(i int) error {
 		s.frames.Add(1)
 		s.bytes.Add(int64(len(frames[i])))
 		hb, err := c.decodeHeartbeatObs(frames[i])
 		if err != nil {
-			s.rejects.Add(1)
-			if c.obs != nil {
-				c.obs.vReject.Inc()
-			}
+			c.count(countReject)
+			c.logf("heartbeat rejected: %v", err)
 			acks[i] = HeartbeatAck{Reject: true}
 			return nil
 		}
@@ -390,34 +346,25 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 	})
 	// Route serially: binding order must be deterministic, and it is two
 	// map operations per frame.
-	type shardWork struct {
-		idx []int // frame indices, in arrival order
-	}
-	work := make(map[int]*shardWork)
+	work := make(map[int][]int) // pod → frame indices, in arrival order
 	slots := make([]int, len(frames))
 	for i, hb := range decoded {
 		if hb == nil {
 			continue
 		}
-		c.countFrameObs(hb, s)
+		if hb.Full {
+			c.count(countFull)
+		} else {
+			c.count(countDelta)
+		}
 		slot, verdict := s.route(hb)
 		if verdict != hbApplied {
-			s.resyncs.Add(1)
-			if c.obs != nil {
-				c.obs.vResync.Inc()
-			}
+			c.count(countResync)
 			acks[i] = HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq, Resync: true}
-			decoded[i] = nil
 			continue
 		}
 		slots[i] = slot
-		p := slot / s.podSize
-		w := work[p]
-		if w == nil {
-			w = &shardWork{}
-			work[p] = w
-		}
-		w.idx = append(w.idx, i)
+		work[slot/s.podSize] = append(work[slot/s.podSize], i)
 	}
 	if len(work) == 0 {
 		return acks
@@ -434,24 +381,17 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 		sh := s.shards[p]
 		var dirty []int
 		sh.mu.Lock()
-		for _, i := range work[p].idx {
+		for _, i := range work[p] {
 			hb := decoded[i]
 			li := slots[i] % s.podSize
+			acks[i] = HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
 			switch sh.decs[li].apply(hb) {
 			case hbApplied:
 				dirty = append(dirty, li)
-				acks[i] = HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
 			case hbStale:
-				s.stale.Add(1)
-				if c.obs != nil {
-					c.obs.vStale.Inc()
-				}
-				acks[i] = HeartbeatAck{Agent: hb.Agent, Seq: hb.Seq}
+				c.count(countStale)
 			case hbResync:
-				s.resyncs.Add(1)
-				if c.obs != nil {
-					c.obs.vResync.Inc()
-				}
+				c.count(countResync)
 				acks[i] = HeartbeatAck{Agent: hb.Agent, Seq: resyncSeq(hb.Seq, sh.decs[li].seq), Resync: true}
 			}
 		}
@@ -464,6 +404,37 @@ func (c *Controller) IngestBatch(frames [][]byte) []HeartbeatAck {
 	return acks
 }
 
+// applyPolled is the polling transport's frame source: each successful
+// probe reply is the agent's whole snapshot, so it applies to the
+// agent's decoder as the full frame at the next seq — no encode, no
+// decode — and publishes exactly as a pushed full frame would. Polled
+// frames skip the wire counters.
+func (s *streamState) applyPolled(results []probeResult, now time.Time) {
+	work := make([][]int, len(s.shards)) // pod → result indices
+	for i, r := range results {
+		if r.err == nil {
+			p := s.slots[r.agent.url] / s.podSize
+			work[p] = append(work[p], i)
+		}
+	}
+	for p, idx := range work {
+		if len(idx) == 0 {
+			continue
+		}
+		sh := s.shards[p]
+		dirty := make([]int, 0, len(idx))
+		sh.mu.Lock()
+		for _, i := range idx {
+			li := s.slots[results[i].agent.url] % s.podSize
+			d := &sh.decs[li]
+			d.apply(&Heartbeat{Full: true, Seq: d.seq + 1, Stats: results[i].stats})
+			dirty = append(dirty, li)
+		}
+		sh.publishLocked(dirty, now)
+		sh.mu.Unlock()
+	}
+}
+
 // HeartbeatHandler serves POST /v1/heartbeat: one binary frame in, one
 // JSON ack out. Rejected frames get 400 with the reject ack so a
 // confused sender backs off to a full resync.
@@ -472,7 +443,7 @@ func (c *Controller) HeartbeatHandler(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if c.stream == nil {
+	if c.cfg.Transport != TransportStream {
 		writeError(w, http.StatusNotFound, "controller transport is %q, not %q", c.cfg.Transport, TransportStream)
 		return
 	}
@@ -497,14 +468,14 @@ func (c *Controller) HeartbeatHandler(w http.ResponseWriter, r *http.Request) {
 // snapshot blob limit with varint slack.
 const maxHeartbeatFrame = maxHeartbeatBlob + maxHeartbeatName + maxHeartbeatURL + 64
 
-// streamObserveLocked is the streaming transport's round head: fold each
-// agent's latest published view into the controller's liveness state.
-// One atomic snapshot load per pod, zero locks, zero network — the
-// polling transport's probe fan-out and miss accounting collapse into a
-// read over frozen state. An agent whose view has not advanced since the
-// last round has missed a heartbeat, exactly as a failed poll probe
-// would count it.
-func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool) {
+// observeLocked is the round head under either transport and the only
+// writer of liveness: fold each agent's latest published view into the
+// controller's agent state. One atomic snapshot load per pod, zero
+// locks, zero network. An agent whose view has not advanced since the
+// last round has missed a heartbeat — a lost push or a failed probe
+// alike; DeadAfter consecutive misses declare it dead, and the next
+// applied frame after that is a rejoin.
+func (c *Controller) observeLocked(now time.Time) (membershipChanged bool) {
 	s := c.stream
 	// Per-pod staleness watermarks: the max of (now − lastHeard) over each
 	// pod's agents, observed against the staleness SLO per agent.
@@ -521,11 +492,16 @@ func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool)
 				podMax[p] = stale.Seconds()
 			}
 		}
-		if view == nil || view.seq <= a.streamSeq {
-			if view == nil {
-				a.lastErr = "no heartbeat received"
-			} else {
-				a.lastErr = fmt.Sprintf("no heartbeat since seq %d", view.seq)
+		if view == nil || view.seq <= a.seq {
+			// The first miss names the cause and later misses keep it: a
+			// silent sender's view cannot move, and a polled agent keeps
+			// the probe error backoffLocked recorded.
+			if a.lastErr == "" {
+				if view == nil {
+					a.lastErr = "no heartbeat received"
+				} else {
+					a.lastErr = fmt.Sprintf("no heartbeat since seq %d", view.seq)
+				}
 			}
 			a.misses++
 			if a.alive && a.misses >= c.cfg.DeadAfter {
@@ -548,13 +524,11 @@ func (c *Controller) streamObserveLocked(now time.Time) (membershipChanged bool)
 		a.alive = true
 		a.everSeen = true
 		a.misses = 0
-		a.backoff = 0
-		a.nextDue = now
 		a.lastErr = ""
 		a.name = view.stats.Agent
 		a.lc = view.stats.LC
 		a.last = view.stats
-		a.streamSeq = view.seq
+		a.seq = view.seq
 	}
 	if c.obs != nil {
 		for p, v := range podMax {

@@ -258,8 +258,10 @@ func TestHeartbeatHandlerHTTP(t *testing.T) {
 		t.Fatalf("good frame: status %d ack %+v", resp.StatusCode, ack)
 	}
 
-	// A poll-transport controller refuses the route outright.
-	pollCtl, err := NewController(ControllerConfig{AgentURLs: []string{"http://a"}})
+	// A poll-transport controller refuses pushed frames at every entry
+	// point, even a well-formed full frame from one of its own agents:
+	// its shards hold polled state that no sender may overwrite.
+	pollCtl, err := NewController(ControllerConfig{AgentURLs: urls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +269,20 @@ func TestHeartbeatHandlerHTTP(t *testing.T) {
 	pollCtl.HeartbeatHandler(rec, httptest.NewRequest(http.MethodPost, RouteHeartbeat, bytes.NewReader(frame)))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("poll controller heartbeat status %d", rec.Code)
+	}
+	if ack := pollCtl.IngestHeartbeat(frame); !ack.Reject {
+		t.Fatalf("poll controller IngestHeartbeat ack %+v", ack)
+	}
+	for i, ack := range pollCtl.IngestBatch([][]byte{frame, frame}) {
+		if !ack.Reject {
+			t.Fatalf("poll controller IngestBatch ack %d = %+v", i, ack)
+		}
+	}
+	if v := pollCtl.stream.view(urls[0]); v != nil {
+		t.Fatalf("pushed frame reached a poll controller's view: %+v", v)
+	}
+	if s := pollCtl.StreamStats(); s != (StreamStats{}) {
+		t.Fatalf("poll controller stream stats %+v", s)
 	}
 }
 
